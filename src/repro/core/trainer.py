@@ -297,6 +297,10 @@ class TaserTrainer:
                 if self.sampler_optimizer is not None:
                     self.sampler_optimizer.zero_grad()
                 embeddings = self.backbone.embed(minibatch)
+                if self.sampler_optimizer is not None \
+                        and self.config.sample_loss == "tgat_analytic":
+                    # The Eq. 25 self-term reads dL/dh after backward.
+                    embeddings.retain_grad()
                 h_src = embeddings[np.arange(b)]
                 h_dst = embeddings[np.arange(b, 2 * b)]
                 h_neg = embeddings[np.arange(2 * b, 3 * b)]

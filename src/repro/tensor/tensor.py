@@ -111,6 +111,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released_backward() -> None:
+    """Backward rule left on a node whose graph a backward pass released."""
+    raise RuntimeError(
+        "Trying to backward through the graph a second time: backward() "
+        "releases the graph as it walks it, so build the graph again (run "
+        "the forward pass) before calling backward() on it")
+
+
 # ---------------------------------------------------------------------------
 # Tensor
 # ---------------------------------------------------------------------------
@@ -129,7 +137,8 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op",
+                 "_retains_grad")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
         self.data: np.ndarray = _as_array(data, dtype)
@@ -138,6 +147,7 @@ class Tensor:
         self._backward: Optional[Callable[[], None]] = None
         self._prev: Tuple["Tensor", ...] = ()
         self._op: str = ""
+        self._retains_grad: bool = False
 
     # -- construction helpers ------------------------------------------------
 
@@ -250,8 +260,26 @@ class Tensor:
         """Reset the accumulated gradient to ``None``."""
         self.grad = None
 
+    def retain_grad(self) -> "Tensor":
+        """Keep this non-leaf tensor's :attr:`grad` after :meth:`backward`.
+
+        Leaf tensors (parameters, sampler gates) always keep their gradient;
+        an intermediate result keeps it only when it opted in here before the
+        backward pass (``torch.Tensor.retain_grad``).
+        """
+        self._retains_grad = True
+        return self
+
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
+
+        The graph is released as it is walked (PyTorch's default
+        ``retain_graph=False``): once a node's backward rule has run, its
+        parents and closure are dropped, and so is its gradient unless it is
+        a leaf or called :meth:`retain_grad`.  Reference counting then frees
+        each activation during the pass instead of leaving the whole graph in
+        reference cycles for the cyclic collector.  Back-propagating through
+        a released node again raises ``RuntimeError``.
 
         Parameters
         ----------
@@ -286,9 +314,18 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Pop (rather than iterate) so each node's last reference from this
+        # frame goes as soon as it has been processed.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward()
+            node._backward = _released_backward
+            node._prev = ()
+            if not node._retains_grad:
+                node.grad = None
 
     # -- arithmetic -------------------------------------------------------------
 
